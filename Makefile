@@ -4,7 +4,7 @@ GO ?= go
 # again under the race detector in `make verify`.
 RACE_PKGS := ./internal/core ./internal/pool ./internal/verify ./internal/tracing ./internal/serve
 
-.PHONY: build test vet lint lint-codegen race race-bench telemetry-overhead trace-smoke fuzz serve-smoke serve-obs-smoke verify clean bench-json benchdiff
+.PHONY: build test vet lint lint-codegen cross race race-bench telemetry-overhead trace-smoke fuzz serve-smoke serve-obs-smoke verify clean bench-json benchdiff
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,13 @@ lint-codegen:
 
 test:
 	$(GO) test ./...
+
+# Cross-architecture build guard: the hand-written amd64 kernels each have a
+# *_noasm.go stub for every other GOARCH, which no amd64 build compiles.
+# arm64 (64-bit, no asm) gets the full vet; 386 (32-bit int) a build.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) build ./...
 
 # -count=1 defeats the test cache: the differential matrix must actually
 # re-execute under the race detector every time.
@@ -78,6 +85,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzStepParams -fuzztime=30s ./internal/serve
 	$(GO) test -run '^$$' -fuzz=FuzzCreateModel -fuzztime=30s ./internal/serve
 	$(GO) test -run '^$$' -fuzz=FuzzClusterList -fuzztime=30s ./internal/cells
+	$(GO) test -run '^$$' -fuzz=FuzzCoulombSIMD -fuzztime=30s ./internal/forces
 
 # Service smoke: boot a real mwserved daemon, drive it with a short mwload
 # sweep (including an oversubscription burst), and fail unless mwload's
@@ -132,7 +140,7 @@ benchdiff:
 	$(GO) run ./cmd/mwbench benchdiff -base BENCH_3.json -new $(NEW) -tol $(TOL)
 
 # The full correctness gate — what CI runs. See README.md §Verification.
-verify: lint build test race race-bench telemetry-overhead trace-smoke serve-smoke serve-obs-smoke
+verify: lint build cross test race race-bench telemetry-overhead trace-smoke serve-smoke serve-obs-smoke
 
 clean:
 	$(GO) clean ./...

@@ -91,6 +91,15 @@ func DefaultVecasmGate(moduleRoot string) *VecasmGate {
 				MinPacked: 40,
 				NoRTLoop:  true,
 			},
+			// The packed exact Coulomb row kernel (census 34): its 4-lane pair
+			// body alone — loads, MUL/ADD r², VSQRTPD, two VDIVPD, masks,
+			// read-modify-write j stores — is ~30 packed instructions, and it
+			// must stay call-free.
+			{
+				Match:     regexp.MustCompile(`forces\.coulRowAVX2`),
+				MinPacked: 30,
+				NoRTLoop:  true,
+			},
 		},
 	}
 }

@@ -32,6 +32,9 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
+	// NsPerPair is NsPerOp over the pairs one op evaluates, set on the
+	// all-pairs Coulomb rows.
+	NsPerPair float64 `json:"ns_per_pair,omitempty"`
 }
 
 // PhasePercentiles is one engine phase's latency distribution, read from the
@@ -137,30 +140,37 @@ func nsPerOp(window time.Duration, f func()) float64 {
 
 // bytesPerOp measures mean heap bytes allocated per call.
 func bytesPerOp(f func()) float64 {
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	const n = 5
-	for i := 0; i < n; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&m1)
-	return float64(m1.TotalAlloc-m0.TotalAlloc) / n
+	return perOp(f, func(m *runtime.MemStats) uint64 { return m.TotalAlloc })
 }
 
 // allocsPerOp measures mean heap allocations per call. It is
 // testing.AllocsPerRun without importing the testing package into a
 // non-test binary (mwbench links this package).
 func allocsPerOp(f func()) float64 {
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	const n = 5
-	for i := 0; i < n; i++ {
-		f()
+	return perOp(f, func(m *runtime.MemStats) uint64 { return m.Mallocs })
+}
+
+// perOp returns the per-call growth of a MemStats counter over 5 calls,
+// minimized over 3 trials. The counters are process-wide, so an allocation
+// by some other goroutine while f runs is charged to f; such noise comes
+// and goes between trials, while an allocation f itself makes recurs in
+// every trial and survives the minimum.
+func perOp(f func(), counter func(*runtime.MemStats) uint64) float64 {
+	const trials, n = 3, 5
+	best := -1.0
+	for t := 0; t < trials; t++ {
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < n; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&m1)
+		if v := float64(counter(&m1)-counter(&m0)) / n; best < 0 || v < best {
+			best = v
+		}
 	}
-	runtime.ReadMemStats(&m1)
-	return float64(m1.Mallocs-m0.Mallocs) / n
+	return best
 }
 
 func measure(name string, window time.Duration, f func()) Result {
@@ -236,6 +246,44 @@ func newKernelSetup(morton bool) (*kernelSetup, error) {
 	return ks, nil
 }
 
+// coulombSetup holds the salt ions for the Coulomb kernel rows: the
+// charged list, the packed SoA copy and one worker's scratch for the packed
+// kernel, and the pair count one full evaluation covers.
+type coulombSetup struct {
+	sys     *atom.System
+	coul    forces.Coulomb
+	charged []int32
+	cc      forces.CoulombCoords
+	scr     []forces.CoulombScratch
+	f       []vec.Vec3
+	pairs   float64
+}
+
+func newCoulombSetup() *coulombSetup {
+	b := workload.Salt()
+	soft := b.Cfg.CoulombSoftening
+	if soft == 0 {
+		soft = 0.05 // the engine default
+	}
+	charged := b.Sys.ChargedIndices()
+	n := float64(len(charged))
+	return &coulombSetup{
+		sys:     b.Sys,
+		coul:    forces.Coulomb{Softening: soft},
+		charged: charged,
+		scr:     make([]forces.CoulombScratch, 1),
+		f:       make([]vec.Vec3, b.Sys.N()),
+		pairs:   n * (n - 1) / 2,
+	}
+}
+
+// measurePairs is measure plus the per-pair normalization.
+func measurePairs(name string, window time.Duration, pairs float64, f func()) Result {
+	r := measure(name, window, f)
+	r.NsPerPair = r.NsPerOp / pairs
+	return r
+}
+
 // Run executes the full harness and returns the report.
 func Run(opts Options) (*Report, error) {
 	opts = opts.withDefaults()
@@ -284,6 +332,25 @@ func Run(opts Options) (*Report, error) {
 		rep.Benchmarks = append(rep.Benchmarks,
 			measure("kernel/lj-cluster-simd/morton-order", opts.BenchTime, func() {
 				sorted.lj.AccumulateClusterListSIMD(sorted.sys, &sorted.cc, &sorted.cl, &sorted.scr, sorted.f)
+			}),
+		)
+	}
+	// Coulomb kernels on salt, one op = every pair once: the reference
+	// AccumulateRange, and the packed kernel the engine picks under Reorder,
+	// timed with its serial pack and its scratch fold as one force phase
+	// runs them.
+	cs := newCoulombSetup()
+	rep.Benchmarks = append(rep.Benchmarks,
+		measurePairs("kernel/coulomb-ref/salt", opts.BenchTime, cs.pairs, func() {
+			cs.coul.Accumulate(cs.sys, cs.charged, cs.f)
+		}),
+	)
+	if forces.HaveClusterSIMD {
+		rep.Benchmarks = append(rep.Benchmarks,
+			measurePairs("kernel/coulomb-simd/salt", opts.BenchTime, cs.pairs, func() {
+				cs.cc.Pack(cs.sys, cs.charged)
+				cs.coul.AccumulateRangeSIMD(&cs.cc, 0, len(cs.charged), &cs.scr[0])
+				forces.FoldCoulombScratch(cs.scr, cs.charged, 0, len(cs.charged), cs.f)
 			}),
 		)
 	}

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mw/internal/forces"
 )
 
 // fastOpts keeps the harness test cheap; timings are meaningless at this
@@ -32,10 +34,14 @@ func TestRunReportStructure(t *testing.T) {
 		"kernel/lj-fulllist-noexcl/morton-order",
 		"kernel/lj-cluster-ref/morton-order",
 		"kernel/lj-cluster-fast/morton-order",
+		"kernel/coulomb-ref/salt",
 		"step/salt/seed", "step/salt/cell-ordered", "step/salt/cluster",
 		"step/Al-1000/seed", "step/Al-1000/cell-ordered", "step/Al-1000/cluster",
 		"step/nanocar/seed", "step/nanocar/cell-ordered", "step/nanocar/cluster",
 		"serve/lj-gas/c2/step", "serve/lj-gas/c2/step-p99",
+	}
+	if forces.HaveClusterSIMD {
+		want = append(want, "kernel/coulomb-simd/salt")
 	}
 	byName := map[string]Result{}
 	for _, b := range rep.Benchmarks {
@@ -54,9 +60,15 @@ func TestRunReportStructure(t *testing.T) {
 	// The acceptance criterion behind the whole harness: the LJ kernels are
 	// allocation-free. (testing.AllocsPerRun-style measurement; an allocation
 	// here is a hot-loop escape, not noise.)
-	for _, name := range want[:7] {
+	for _, name := range want {
+		if !strings.HasPrefix(name, "kernel/") {
+			continue
+		}
 		if a := byName[name].AllocsPerOp; a >= 0.5 {
 			t.Errorf("%s: %g allocs/op in a kernel, want 0", name, a)
+		}
+		if strings.HasPrefix(name, "kernel/coulomb-") && byName[name].NsPerPair <= 0 {
+			t.Errorf("%s: no ns/pair", name)
 		}
 	}
 	if rep.KernelSpeedup <= 0 {
@@ -168,5 +180,18 @@ func TestNextPath(t *testing.T) {
 	}
 	if got, want := NextPath(dir), filepath.Join(dir, "BENCH_1.json"); got != want {
 		t.Fatalf("NextPath = %q, want %q", got, want)
+	}
+}
+
+var allocSink []byte
+
+// TestAllocsPerOp: the minimum over trials still charges a call its own
+// allocations, every time.
+func TestAllocsPerOp(t *testing.T) {
+	if a := allocsPerOp(func() { allocSink = make([]byte, 64) }); a < 1 {
+		t.Errorf("allocating call measured %g allocs/op, want ≥ 1", a)
+	}
+	if a := allocsPerOp(func() {}); a != 0 {
+		t.Errorf("empty call measured %g allocs/op, want 0", a)
 	}
 }

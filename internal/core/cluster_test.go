@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mw/internal/atom"
+	"mw/internal/forces"
 	"mw/internal/vec"
 )
 
@@ -122,5 +123,80 @@ func TestRunForSteps(t *testing.T) {
 	// Guard the guard: a genuinely integral ratio stays put.
 	if r := 10.0 / 2.0; math.Round(r) != 5 {
 		t.Fatal("arithmetic sanity")
+	}
+}
+
+// ionLattice is a small rock-salt block of alternating ±1 ions; closed
+// boxes get a margin so the lattice sits inside the walls.
+func ionLattice(nx int, periodic bool) *atom.System {
+	const a = 2.82
+	l, off := float64(nx)*a, a/2
+	if !periodic {
+		l, off = l+8, 4+a/2
+	}
+	s := atom.NewSystem(atom.CubicBox(l, periodic))
+	for x := 0; x < nx; x++ {
+		for y := 0; y < nx; y++ {
+			for z := 0; z < nx; z++ {
+				el, q := int16(atom.Na), 1.0
+				if (x+y+z)%2 == 1 {
+					el, q = atom.Cl, -1
+				}
+				p := vec.New(off+float64(x)*a, off+float64(y)*a, off+float64(z)*a)
+				s.AddAtom(el, p, vec.Zero, q, false)
+			}
+		}
+	}
+	return s
+}
+
+// TestCoulombKernelSelection pins the packed Coulomb kernel's selection
+// rule: it runs for a closed ionic system on the reorder hot path with
+// privatized reduction on a capable CPU, and every other configuration
+// keeps the reference AccumulateRange. Where it runs, the trajectory must
+// track the default engine to reduction-order noise.
+func TestCoulombKernelSelection(t *testing.T) {
+	hot := Config{Dt: 1, Reorder: true, Partition: PartitionGuided}
+	cases := []struct {
+		name     string
+		sys      *atom.System
+		cfg      Config
+		wantSIMD bool
+	}{
+		{"closed-reorder", ionLattice(6, false), hot, forces.HaveClusterSIMD},
+		{"closed-reorder-cluster-threads", ionLattice(6, false),
+			Config{Dt: 1, Threads: 3, Queues: WorkStealingQueues, Reorder: true, Cluster: true, Partition: PartitionGuided},
+			forces.HaveClusterSIMD},
+		{"periodic", ionLattice(4, true), hot, false},
+		{"shared-mutex", ionLattice(6, false),
+			Config{Dt: 1, Threads: 2, Reduce: ReduceSharedMutex, Reorder: true, Partition: PartitionGuided}, false},
+		{"no-reorder", ionLattice(6, false), Config{Dt: 1, Threads: 2}, false},
+		{"no-charges", ljGas(4, 4.3, 120, false), hot, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := mustSim(t, tc.sys.Clone(), Config{Dt: 1})
+			defer ref.Close()
+			got := mustSim(t, tc.sys, tc.cfg)
+			defer got.Close()
+			if simd := got.coulCoords != nil; simd != tc.wantSIMD {
+				t.Fatalf("packed Coulomb selected = %v, want %v", simd, tc.wantSIMD)
+			}
+			var worst StateDiff
+			for step := 0; step < 10; step++ {
+				ref.Step()
+				got.Step()
+				worst = worst.Merge(ref.Snapshot().Diff(got.Snapshot()))
+			}
+			const tol = 1e-7
+			if !(worst.Pos <= tol && worst.Vel <= tol && worst.Force <= tol && worst.PE <= tol) {
+				t.Errorf("deviates from default engine: %v", worst)
+			}
+		})
+	}
+	// Without AVX2 the rule never picks the packed kernel, whatever else
+	// holds.
+	if useCoulombSIMD(hot, false, 64, false) {
+		t.Error("packed Coulomb selected without HaveClusterSIMD")
 	}
 }

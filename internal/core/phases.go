@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"runtime/trace"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -334,6 +335,9 @@ func (sim *Simulation) forcePhase() {
 		// O(N) with tiny constants, like Assign above).
 		sim.clCoords.Pack(s)
 	}
+	if sim.coulCoords != nil {
+		sim.coulCoords.Pack(s, sim.charged)
+	}
 	rng := sim.Cfg.LJCutoff + sim.Cfg.Skin
 	for w := range sim.peWorker {
 		sim.peWorker[w] = 0
@@ -400,7 +404,11 @@ func (sim *Simulation) forcePhase() {
 			}
 		case item < coulEnd:
 			lo, hi := sim.coulChunks.bounds(item - ljEnd)
-			pe = sim.coul.AccumulateRange(s, sim.charged, lo, hi, f)
+			if sim.coulCoords != nil {
+				pe = sim.coul.AccumulateRangeSIMD(sim.coulCoords, lo, hi, &sim.coulScratch[worker])
+			} else {
+				pe = sim.coul.AccumulateRange(s, sim.charged, lo, hi, f)
+			}
 		case item < bondEnd:
 			lo, hi := sim.bondChunks.bounds(item - coulEnd)
 			pe = accumulateBonds(sim, lo, hi, f)
@@ -429,7 +437,9 @@ func (sim *Simulation) forcePhase() {
 
 // reducePhase is phase 5: fold the privatized force arrays into the shared
 // one and clear them for the next step. In shared-mutex mode forces are
-// already in place and only the energy is folded.
+// already in place and only the energy is folded. Under the packed Coulomb
+// kernel each chunk also folds (and clears) the workers' Coulomb scratch for
+// the charged atoms inside its atom range.
 //
 //mw:hotpath
 //mw:forcewriter
@@ -459,6 +469,11 @@ func (sim *Simulation) reducePhase() {
 				priv[w][i] = vec.Zero
 			}
 			s.Force[i] = f
+		}
+		if sim.coulCoords != nil {
+			klo, _ := slices.BinarySearch(sim.charged, int32(lo))
+			khi, _ := slices.BinarySearch(sim.charged, int32(hi))
+			forces.FoldCoulombScratch(sim.coulScratch, sim.charged, klo, khi, s.Force)
 		}
 	})
 }

@@ -50,6 +50,13 @@ type Simulation struct {
 	clusterFast  bool
 	clusterSIMD  bool
 
+	// Packed Coulomb state, non-nil exactly when useCoulombSIMD picked the
+	// packed kernel: the padded SoA copy of the charged atoms, repacked
+	// serially every force phase, and per-worker SoA force scratch that the
+	// reduce phase folds into the reduced forces.
+	coulCoords  *forces.CoulombCoords
+	coulScratch []forces.CoulombScratch
+
 	// Neighbor-list state: per-atom-chunk range lists plus the reference
 	// positions from the last rebuild (for the phase-2 validity check).
 	ljLists   []cells.RangeList
@@ -126,6 +133,18 @@ func (c chunkSet) bounds(i int) (lo, hi int) {
 	return lo, hi
 }
 
+// useCoulombSIMD is the selection rule of the packed Coulomb kernel. It is
+// the packed LJ rung's rule — the opt-in reorder hot path (the kernel's
+// accumulation order differs from the reference at the rounding level, so
+// default-path goldens keep AccumulateRange), a capable CPU, a closed box —
+// plus privatized reduction (the kernel's per-worker scratch is folded by
+// the reduce phase; the shared-mutex ablation keeps the reference) and at
+// least one charged atom.
+func useCoulombSIMD(cfg Config, periodic bool, nCharged int, haveSIMD bool) bool {
+	return cfg.Reorder && haveSIMD && !periodic &&
+		cfg.Reduce == ReducePrivatized && nCharged > 0
+}
+
 // New creates a simulation over sys. The system is validated; its Acc array
 // is initialized from a first force evaluation so that the first predictor
 // step sees consistent state.
@@ -195,6 +214,10 @@ func New(sys *atom.System, cfg Config) (*Simulation, error) {
 			sim.clCoords = &cells.ClusterCoords{}
 			sim.clScratch = make([]forces.ClusterScratch, sim.atomChunks.count)
 		}
+	}
+	if useCoulombSIMD(cfg, sys.Box.Periodic, len(sim.charged), forces.HaveClusterSIMD) {
+		sim.coulCoords = &forces.CoulombCoords{}
+		sim.coulScratch = make([]forces.CoulombScratch, w)
 	}
 	sim.refPos = make([]vec.Vec3, n)
 

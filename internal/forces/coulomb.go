@@ -28,25 +28,45 @@ func (c Coulomb) AccumulateRange(s *atom.System, charged []int32, lo, hi int, f 
 	var pe float64
 	soft2 := c.Softening * c.Softening
 	box := s.Box
+	// BCE preamble (the forces/lj.go pattern): reslice the per-atom arrays
+	// to the force array's length, guard the range once, and compare every
+	// gathered index as a uint, so the prove pass drops the pair loop's
+	// bounds checks. MinImage is the identity on a closed box; hoisting that
+	// branch out of the loop leaves the arithmetic untouched.
+	n := len(f)
+	pos, charge := s.Pos[:n], s.Charge[:n]
+	periodic := box.Periodic
+	if lo < 0 || hi > len(charged) {
+		panic("forces: Coulomb range outside charged list")
+	}
 	for ci := lo; ci < hi; ci++ {
-		i := charged[ci]
-		pi := s.Pos[i]
-		qi := s.Charge[i]
+		i := int(charged[ci])
+		if uint(i) >= uint(n) {
+			continue // corrupt charged index; valid lists never hit this
+		}
+		pi := pos[i]
+		qi := charge[i]
 		fi := f[i]
-		for cj := ci + 1; cj < len(charged); cj++ {
-			j := charged[cj]
-			d := box.MinImage(s.Pos[j].Sub(pi))
+		for _, j := range charged[ci+1:] {
+			jj := int(j)
+			if uint(jj) >= uint(n) {
+				continue
+			}
+			d := pos[jj].Sub(pi)
+			if periodic {
+				d = box.MinImage(d)
+			}
 			r2 := d.Norm2() + soft2
 			if r2 == 0 {
 				continue
 			}
 			r := math.Sqrt(r2)
-			e := units.CoulombK * qi * s.Charge[j] / r
+			e := units.CoulombK * qi * charge[jj] / r
 			pe += e
 			// F = k q1 q2 / r² along the pair axis; repulsive for like signs.
 			fs := e / r2
 			fi = fi.AddScaled(-fs, d)
-			f[j] = f[j].AddScaled(fs, d)
+			f[jj] = f[jj].AddScaled(fs, d)
 		}
 		f[i] = fi
 	}
@@ -71,14 +91,19 @@ type Field struct {
 //
 //mw:hotpath
 func (fl Field) AccumulateRange(s *atom.System, lo, hi int, f []vec.Vec3) {
+	n := len(f)
+	charge, mass := s.Charge[:n], s.Mass[:n]
+	if lo < 0 || hi > n {
+		panic("forces: field range outside force array")
+	}
 	for i := lo; i < hi; i++ {
 		fi := f[i]
-		if q := s.Charge[i]; q != 0 {
+		if q := charge[i]; q != 0 {
 			fi = fi.AddScaled(q, fl.E)
 		}
 		if fl.G != vec.Zero {
 			// F = m·G / ForceToAccel so the resulting acceleration is G.
-			fi = fi.AddScaled(s.Mass[i]/units.ForceToAccel, fl.G)
+			fi = fi.AddScaled(mass[i]/units.ForceToAccel, fl.G)
 		}
 		f[i] = fi
 	}
